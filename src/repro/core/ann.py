@@ -7,11 +7,9 @@ replacement:
 * :func:`exact_topk` — the brute-force oracle, shared verbatim by the exact
   backend and by exhaustive-probe ANN queries so the two are bit-identical;
 * :class:`RPForestIndex` — a numpy random-projection-tree forest with
-  ``build(X)`` / ``query(Q, k, mask=...)``.  The boolean ``mask`` restricts
-  candidates, which is exactly what the counterfactual search needs: the
-  label-consistent, opposite-attribute bucket becomes a mask over all N
-  points, so one index per refresh serves every (label, attribute, side)
-  bucket;
+  ``build(X)`` / ``rank(Q)`` / ``query(Q, k, mask=...)``.  ``rank`` orders
+  every forest candidate of a query row by distance with no mask applied;
+  ``query`` is a filter over that order;
 * :class:`ExactBackend` / :class:`AnnBackend` — the strategy objects
   :class:`~repro.core.counterfactual.CounterfactualSearch` dispatches to.
 
@@ -26,10 +24,18 @@ subtrees, trading work for recall.  Candidates from all (tree, probe)
 leaves are deduplicated and ranked by true L2 distance, with ties broken by
 ascending point id for determinism.
 
+A node's candidate set, distances and ranking do not depend on which
+candidates a caller will accept, so the counterfactual search ranks each
+query node once per refresh (:meth:`AnnBackend.rankings`) and filters that
+one order per (label, attribute, side) bucket.  The sort is stable, so the
+eligible entries of a filtered row keep exactly the order a masked ranking
+would give them: the shared pass is bit-identical to one masked query per
+bucket by construction.
+
 ``probes="exhaustive"`` bypasses the trees and ranks *every* masked
-candidate through :func:`exact_topk` — the property-test harness uses this
-to prove the ANN plumbing (masking, padding, cycling) exactly reproduces
-the oracle.
+candidate through :func:`exact_topk`, once per candidate set — the
+property-test harness uses this to prove the ANN plumbing (masking,
+padding, cycling) exactly reproduces the oracle.
 
 Incremental maintenance
 -----------------------
@@ -63,6 +69,7 @@ __all__ = [
     "UpdateReport",
     "exact_topk",
     "execute_tree_task",
+    "first_k_eligible",
     "ExactBackend",
     "AnnBackend",
     "make_backend",
@@ -88,8 +95,7 @@ def exact_topk(
     queries:
         ``(Q, d)`` query vectors (rows need not be base points).
     candidate_ids:
-        Ids into ``points`` eligible as neighbours (any order; the order is
-        the tie-break when ``k`` cuts through equal distances).
+        Ids into ``points`` eligible as neighbours, in any order.
     k:
         Neighbours requested.
 
@@ -97,10 +103,18 @@ def exact_topk(
     -------
     ``(Q, min(k, len(candidate_ids)))`` int64 array of candidate ids, each
     row ordered by ascending squared L2 distance.
+
+    Ties: when ``k`` covers every candidate the rows are a stable sort, so
+    equal distances keep candidate order.  When ``k`` is smaller, the k
+    nearest are selected with ``argpartition`` and then ordered with an
+    unstable sort: the rows are a valid exact top-k (their distances are the
+    k smallest), deterministic for a given input, but which of several
+    candidates tied at the k-th distance is kept, and the order among equal
+    distances, follow numpy's selection rather than candidate order.
     """
     queries = np.asarray(queries, dtype=np.float64)
     candidate_ids = np.asarray(candidate_ids, dtype=np.int64).reshape(-1)
-    candidate_reprs = points[candidate_ids]
+    candidate_reprs = np.asarray(points[candidate_ids], dtype=np.float64)
     # Squared L2 distances; monotone in L2 so the ranking matches Eq. 12.
     distances = (
         (queries**2).sum(axis=1)[:, None]
@@ -114,8 +128,8 @@ def exact_topk(
         row_order = np.take_along_axis(distances, top, axis=1).argsort(axis=1)
         top = np.take_along_axis(top, row_order, axis=1)
     else:
-        # Stable, like every other ranking path: duplicate distances break
-        # ties by candidate position (ascending id for sorted candidates).
+        # Stable: duplicate distances break ties by candidate position
+        # (ascending id for sorted candidates).
         top = distances.argsort(axis=1, kind="stable")
     return candidate_ids[top]
 
@@ -166,8 +180,8 @@ class _Tree:
     thresholds: np.ndarray  # (num_internal,)
     children: np.ndarray  # (num_internal, 2)
     leaf_indptr: np.ndarray  # (num_leaves + 1,)
-    leaf_items: np.ndarray  # (N,)
-    point_leaf: np.ndarray  # (N,)
+    leaf_items: np.ndarray  # (N,) int32
+    point_leaf: np.ndarray  # (N,) int32
     root: int
     depth: int
     max_leaf: int
@@ -280,7 +294,8 @@ class RPForestIndex:
 
     @property
     def points(self) -> np.ndarray:
-        """The indexed point matrix (raises before :meth:`build`)."""
+        """The indexed point matrix, float32 or float64 as it was given
+        (raises before :meth:`build`)."""
         if self._points is None:
             raise RuntimeError("call build() before reading points")
         return self._points
@@ -288,16 +303,20 @@ class RPForestIndex:
     def build(self, X: np.ndarray, pool=None) -> "RPForestIndex":
         """(Re)build the forest over ``X``; returns ``self``.
 
+        A float32 ``X`` is kept in float32 (float32 training's index is
+        half the size); the ranking is the same as over its float64 upcast.
         Trees are independent and each seeds its own generator from
         ``(seed, tree_id)``, so a build sharded across a
         :class:`~repro.training.parallel.WorkerPool` (one task per tree) is
         bit-identical to the serial build.
         """
-        X = np.array(X, dtype=np.float64, copy=True)
+        X = _stored_points(X)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError(f"expected a non-empty (N, d) matrix, got {X.shape}")
+        if X.shape[0] > np.iinfo(_ID).max:
+            raise ValueError(f"at most {np.iinfo(_ID).max} points, got {X.shape[0]}")
         self._points = X
-        self._norms = (X**2).sum(axis=1)
+        self._norms = (_f64(X) ** 2).sum(axis=1)
         self._update_count = 0
         if pool is not None and self.num_trees > 1:
             spec = {"leaf_size": self.leaf_size, "seed": self.seed}
@@ -400,14 +419,14 @@ class RPForestIndex:
             # restore them with compaction off so behaviour is unchanged.
             compact_frac=float(floats[3]) if floats.size > 3 else 1.0,
         )
-        points = np.array(points_raw, dtype=np.float64, copy=True)
+        points = _stored_points(points_raw)
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError(
                 f"serialized points must be a non-empty (N, d) matrix, "
                 f"got {points.shape}"
             )
         index._points = points
-        index._norms = (points**2).sum(axis=1)
+        index._norms = (_f64(points) ** 2).sum(axis=1)
         index._update_count = int(params[5])
         trees: list[_Tree] = []
         for t in range(index.num_trees):
@@ -429,10 +448,10 @@ class RPForestIndex:
                             arrays[prefix + "leaf_indptr"], dtype=np.int64
                         ),
                         leaf_items=np.array(
-                            arrays[prefix + "leaf_items"], dtype=np.int64
+                            arrays[prefix + "leaf_items"], dtype=_ID
                         ),
                         point_leaf=np.array(
-                            arrays[prefix + "point_leaf"], dtype=np.int64
+                            arrays[prefix + "point_leaf"], dtype=_ID
                         ),
                         root=int(meta[0]),
                         depth=int(meta[1]),
@@ -487,7 +506,7 @@ class RPForestIndex:
                     direction[0] = 1.0
                     norm = 1.0
                 direction /= norm
-                proj = X[members] @ direction
+                proj = _f64(X[members]) @ direction
                 order = np.argsort(proj, kind="stable")
                 half = members.size // 2
                 threshold = 0.5 * (proj[order[half - 1]] + proj[order[half]])
@@ -503,11 +522,13 @@ class RPForestIndex:
                 root = ref
         leaf_sizes = np.array([leaf.size for leaf in leaves], dtype=np.int64)
         leaf_items = (
-            np.concatenate(leaves) if leaves else np.empty(0, dtype=np.int64)
+            np.concatenate(leaves).astype(_ID)
+            if leaves
+            else np.empty(0, dtype=_ID)
         )
-        point_leaf = np.full(n, -1, dtype=np.int64)
+        point_leaf = np.full(n, -1, dtype=_ID)
         point_leaf[leaf_items] = np.repeat(
-            np.arange(leaf_sizes.size, dtype=np.int64), leaf_sizes
+            np.arange(leaf_sizes.size, dtype=_ID), leaf_sizes
         )
         return _Tree(
             directions=(
@@ -575,6 +596,7 @@ class RPForestIndex:
         """
         if self._points is None:
             raise RuntimeError("call build() before update()")
+        given = X
         X = np.asarray(X, dtype=np.float64)
         if X.shape != self._points.shape:
             raise ValueError(
@@ -617,7 +639,7 @@ class RPForestIndex:
         if not 0.0 < limit <= 1.0:
             raise ValueError(f"rebuild_frac must be in (0, 1], got {limit}")
         if fraction > limit:
-            self.build(X, pool=pool)
+            self.build(given, pool=pool)
             return UpdateReport(
                 num_points=self.num_points,
                 num_moved=int(moved.size),
@@ -626,8 +648,8 @@ class RPForestIndex:
             )
 
         self._update_count += 1
-        self._points = np.array(X, copy=True)
-        self._norms = (self._points**2).sum(axis=1)
+        self._points = _stored_points(given)
+        self._norms = (_f64(self._points) ** 2).sum(axis=1)
         splits = 0
         if moved.size:
             if pool is not None and self.num_trees > 1:
@@ -650,7 +672,7 @@ class RPForestIndex:
                 self._trees = [tree for tree, _ in rerouted]
                 splits = sum(tree_splits for _, tree_splits in rerouted)
             else:
-                queries = self._points[moved]
+                queries = _f64(self._points[moved])
                 for tree_id, tree in enumerate(self._trees):
                     splits += self._reroute(tree, tree_id, moved, queries)
         orphaned = 0
@@ -789,7 +811,7 @@ class RPForestIndex:
         kept = old_counts - removed
         new_counts = kept + added
         new_indptr = np.concatenate(([0], np.cumsum(new_counts))).astype(np.int64)
-        new_items = np.empty(tree.leaf_items.shape[0], dtype=np.int64)
+        new_items = np.empty(tree.leaf_items.shape[0], dtype=_ID)
         stale = np.zeros(tree.point_leaf.shape[0], dtype=bool)
         stale[changed] = True
         kept_items = tree.leaf_items[~stale[tree.leaf_items]]
@@ -843,7 +865,7 @@ class RPForestIndex:
         tree.children[neg] = -(new_id[-(tree.children[neg] + 1)] + 1)
         if tree.root < 0:
             tree.root = -(new_id[-(tree.root + 1)] + 1)
-        tree.point_leaf = new_id[tree.point_leaf]
+        tree.point_leaf = new_id.astype(_ID)[tree.point_leaf]
         counts = np.diff(tree.leaf_indptr)[reachable]
         tree.leaf_indptr = np.concatenate(
             ([0], np.cumsum(counts))
@@ -928,8 +950,7 @@ class RPForestIndex:
             Neighbours requested per query.
         mask:
             Optional ``(N,)`` boolean; only points with ``mask[id]`` True may
-            be returned.  This is how the counterfactual search expresses
-            its label-consistent, opposite-attribute candidate buckets.
+            be returned.
         probes:
             Override the index default; ``"exhaustive"`` ranks every masked
             candidate by brute force (bit-identical to the exact backend).
@@ -938,19 +959,13 @@ class RPForestIndex:
         -------
         ``(Q, k)`` int64 ids into the built matrix, ordered by ascending
         distance (ties → ascending id), right-padded with ``-1`` when fewer
-        than ``k`` candidates were found.
+        than ``k`` candidates were found.  Forest probing filters the
+        unmasked :meth:`rank` order, so a masked query returns exactly the
+        first ``k`` allowed entries of the row's ranking.
         """
-        if self._points is None:
-            raise RuntimeError("call build() before query()")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        Q = np.asarray(Q, dtype=np.float64)
-        if Q.ndim == 1:
-            Q = Q[None, :]
-        if Q.ndim != 2 or Q.shape[1] != self._points.shape[1]:
-            raise ValueError(
-                f"queries must be (Q, {self._points.shape[1]}), got {Q.shape}"
-            )
+        Q = self._check_queries(Q)
         if mask is not None:
             mask = np.asarray(mask, dtype=bool).reshape(-1)
             if mask.shape[0] != self.num_points:
@@ -961,14 +976,14 @@ class RPForestIndex:
             probes = self.probes
         if probes == EXHAUSTIVE:
             return self._query_exhaustive(Q, k, mask)
-        probes = int(probes)
-        if probes < 1:
-            raise ValueError(f"probes must be >= 1 or 'exhaustive', got {probes}")
-
         out = np.full((Q.shape[0], k), -1, dtype=np.int64)
         for start in range(0, Q.shape[0], self.chunk_size):
             chunk = slice(start, start + self.chunk_size)
-            out[chunk] = self._query_chunk(Q[chunk], k, mask, probes)
+            ranking = self.rank(Q[chunk], probes)
+            eligible = ranking >= 0
+            if mask is not None:
+                eligible &= mask[ranking]
+            out[chunk] = first_k_eligible(ranking, eligible, k)
         return out
 
     def _query_exhaustive(
@@ -985,9 +1000,29 @@ class RPForestIndex:
         out[:, : found.shape[1]] = found
         return out
 
-    def _query_chunk(
-        self, Q: np.ndarray, k: int, mask: np.ndarray | None, probes: int
-    ) -> np.ndarray:
+    def rank(self, Q: np.ndarray, probes: int | None = None) -> np.ndarray:
+        """Every forest candidate of each query row, nearest first.
+
+        Gathers the leaves each row reaches across all trees and probes,
+        deduplicates them and sorts by squared L2 distance (ties →
+        ascending id).  Returns an ``(m, width)`` int64 array, right-padded
+        with ``-1``; ``width`` is fixed by the forest, so callers bound
+        memory by passing at most ``chunk_size`` rows at a time.  The order
+        never depends on which candidates a caller will keep: filtering a
+        row keeps its surviving entries in rank order, which is how one
+        ranking serves every candidate mask.
+        """
+        Q = self._check_queries(Q)
+        if probes is None:
+            probes = self.probes
+        if probes == EXHAUSTIVE:
+            raise ValueError(
+                "rank() walks the trees; exhaustive probing ranks per "
+                "candidate set through query()"
+            )
+        probes = int(probes)
+        if probes < 1:
+            raise ValueError(f"probes must be >= 1 or 'exhaustive', got {probes}")
         m = Q.shape[0]
         width = sum(tree.max_leaf for tree in self._trees) * probes
         cands = np.full((m, width), -1, dtype=np.int64)
@@ -1016,26 +1051,71 @@ class RPForestIndex:
         cands[:, 1:][cands[:, 1:] == cands[:, :-1]] = -1
 
         safe = np.maximum(cands, 0)
-        dots = np.einsum("qd,qwd->qw", Q, self._points[safe])
+        # The (rows, width, d) candidate gather is the largest temporary of
+        # a query; building it a few rows at a time bounds it without
+        # changing a bit of the per-pair dot products.
+        dots = np.empty((m, width))
+        for start in range(0, m, _GATHER_ROWS):
+            rows = slice(start, start + _GATHER_ROWS)
+            dots[rows] = np.einsum(
+                "qd,qwd->qw", Q[rows], _f64(self._points[safe[rows]])
+            )
         dist = (Q**2).sum(axis=1)[:, None] - 2.0 * dots + self._norms[safe]
-        invalid = cands < 0
-        if mask is not None:
-            invalid |= ~mask[safe]
-        dist[invalid] = np.inf
+        dist[cands < 0] = np.inf
         # Stable sort on distance after the ascending-id sort above breaks
         # distance ties by ascending id — deterministic output.
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        picked = np.take_along_axis(cands, order, axis=1)
-        picked[~np.isfinite(np.take_along_axis(dist, order, axis=1))] = -1
-        if picked.shape[1] < k:
-            picked = np.concatenate(
-                [picked, np.full((m, k - picked.shape[1]), -1, dtype=np.int64)],
-                axis=1,
+        order = np.argsort(dist, axis=1, kind="stable")
+        ranking = np.take_along_axis(cands, order, axis=1)
+        ranking[~np.isfinite(np.take_along_axis(dist, order, axis=1))] = -1
+        return ranking
+
+    def _check_queries(self, Q: np.ndarray) -> np.ndarray:
+        if self._points is None:
+            raise RuntimeError("call build() before query()")
+        Q = np.asarray(Q, dtype=np.float64)
+        if Q.ndim == 1:
+            Q = Q[None, :]
+        if Q.ndim != 2 or Q.shape[1] != self._points.shape[1]:
+            raise ValueError(
+                f"queries must be (Q, {self._points.shape[1]}), got {Q.shape}"
             )
-        return picked
+        return Q
+
+
+def first_k_eligible(
+    ranking: np.ndarray, eligible: np.ndarray, k: int
+) -> np.ndarray:
+    """The first ``k`` eligible entries of each ranking row, ``-1``-padded.
+
+    ``ranking`` is an ``(m, width)`` id array in rank order and
+    ``eligible`` a same-shape boolean; the result is ``(m, k)`` int64 with
+    the surviving ids in their ranking order.
+    """
+    position = np.cumsum(eligible, axis=1, dtype=np.int32)
+    rows, cols = np.nonzero(eligible & (position <= k))
+    out = np.full((ranking.shape[0], k), -1, dtype=np.int64)
+    out[rows, position[rows, cols] - 1] = ranking[rows, cols]
+    return out
 
 
 _INACTIVE = np.iinfo(np.int64).min  # "no start node" marker for greedy descent
+_GATHER_ROWS = 64  # query rows per candidate-coordinate gather in rank()
+# Point and leaf ids in the per-tree routing arrays (point_leaf, leaf_items):
+# two of the N-sized arrays every tree keeps, at half the bytes of int64.
+_ID = np.int32
+
+
+def _stored_points(X) -> np.ndarray:
+    """The index's own copy of a point matrix: float32 stays float32 (half
+    the bytes), anything else becomes float64.  Every projection, distance
+    and norm reads the points through :func:`_f64`, an exact upcast, so
+    results do not depend on which precision is stored."""
+    X = np.asarray(X)
+    return np.array(X, dtype=np.float32 if X.dtype == np.float32 else np.float64)
+
+
+def _f64(a: np.ndarray) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64)
 
 
 # --------------------------------------------------------------------- #
@@ -1070,9 +1150,9 @@ def execute_tree_task(task, X: np.ndarray):
             seed=spec["seed"],
             overflow_factor=spec["overflow_factor"],
         )
-        index._points = np.asarray(X, dtype=np.float64)
+        index._points = X
         index._update_count = spec["update_count"]
-        splits = index._reroute(tree, tree_id, moved, index._points[moved])
+        splits = index._reroute(tree, tree_id, moved, _f64(X[moved]))
         return tree, splits
     raise ValueError(f"unknown forest task kind {kind!r}")
 
@@ -1101,10 +1181,7 @@ class ExactBackend:
 
 
 class AnnBackend:
-    """Approximate backend over a :class:`RPForestIndex`.
-
-    ``exhaustive=True`` keeps the index but routes every query through
-    brute-force ranking — the bridge used to prove the ANN plumbing exact.
+    """Random-projection-forest backend over a :class:`RPForestIndex`.
 
     ``update`` selects the refresh policy of :meth:`prepare`:
     ``"rebuild"`` (default) reconstructs the forest from scratch every
@@ -1113,6 +1190,12 @@ class AnnBackend:
     full rebuild past ``rebuild_frac`` — whenever a forest over the same
     point-set shape is already standing.  ``last_report`` carries the most
     recent :class:`UpdateReport` (None after a from-scratch build).
+
+    Training and serving share this class: :meth:`frozen` wraps a standing
+    (e.g. deserialized) forest whose :meth:`prepare` is a no-op, so served
+    retrieval runs the same :meth:`rankings` glue as a training refresh.
+    ``probes="exhaustive"`` routes every query through brute-force ranking
+    per candidate set — the bridge that proves the plumbing exact.
     """
 
     name = "ann"
@@ -1121,10 +1204,9 @@ class AnnBackend:
         self,
         num_trees: int = 8,
         leaf_size: int = 32,
-        probes: int = 2,
+        probes: int | str = 2,
         seed: int = 0,
         chunk_size: int = 512,
-        exhaustive: bool = False,
         update: str = "rebuild",
         drift_threshold: float = 0.0,
         rebuild_frac: float = 0.5,
@@ -1146,22 +1228,45 @@ class AnnBackend:
             overflow_factor=overflow_factor,
             compact_frac=compact_frac,
         )
-        self.exhaustive = exhaustive
         self.update_mode = update
         self.last_report: UpdateReport | None = None
+        self._frozen = False
+        self._probes = None
         # Runtime-only attachment (never part of backend options, which
         # must stay JSON-serializable for artifact manifests): a
         # WorkerPool set by the trainer shards build/update by tree.
         self.pool = None
+
+    @classmethod
+    def frozen(cls, index: RPForestIndex, probes=None) -> "AnnBackend":
+        """Serve from a standing forest: :meth:`prepare` leaves it as is.
+
+        Retrieval then reflects the representations the model was trained
+        (and audited) with.  ``probes`` overrides the index default for
+        every query (``"exhaustive"`` included).
+        """
+        backend = cls()
+        backend._index = index
+        backend._frozen = True
+        backend._probes = probes
+        return backend
 
     @property
     def index(self) -> RPForestIndex:
         """The underlying forest (refreshed on every :meth:`prepare`)."""
         return self._index
 
+    @property
+    def exhaustive(self) -> bool:
+        """True when queries rank by brute force instead of the trees."""
+        probes = self._index.probes if self._probes is None else self._probes
+        return probes == EXHAUSTIVE
+
     def prepare(self, points: np.ndarray) -> None:
         """Refresh the forest over the current representations."""
-        points = np.asarray(points, dtype=np.float64)
+        if self._frozen:
+            return
+        points = np.asarray(points)
         if (
             self.update_mode == "incremental"
             and self._index.num_points
@@ -1175,15 +1280,25 @@ class AnnBackend:
     def topk(
         self, query_ids: np.ndarray, candidate_ids: np.ndarray, k: int
     ) -> np.ndarray:
-        """Approximate top-``k`` (``-1``-padded) candidate ids per query node."""
+        """Top-``k`` (``-1``-padded) of ``candidate_ids`` per query node."""
         mask = np.zeros(self._index.num_points, dtype=bool)
         mask[candidate_ids] = True
         return self._index.query(
-            self._index.points[query_ids],
-            k,
-            mask=mask,
-            probes=EXHAUSTIVE if self.exhaustive else None,
+            self._index.points[query_ids], k, mask=mask, probes=self._probes
         )
+
+    def rankings(self, query_ids: np.ndarray):
+        """Yield ``(ids, ranking)`` per chunk of ``query_ids``.
+
+        ``ranking`` is :meth:`RPForestIndex.rank` of the chunk's indexed
+        points: every forest candidate, nearest first, with no candidate
+        mask applied, so one pass serves every (label, attribute, side)
+        filter a caller applies afterwards.
+        """
+        index = self._index
+        for start in range(0, len(query_ids), index.chunk_size):
+            ids = query_ids[start : start + index.chunk_size]
+            yield ids, index.rank(index.points[ids], probes=self._probes)
 
 
 def make_backend(spec, **options):

@@ -14,12 +14,21 @@ every counterfactual returned here is an observed, plausible configuration.
 
 The nearest-neighbour ranking is delegated to a pluggable backend
 (:mod:`repro.core.ann`): ``backend="exact"`` is the original O(N²) scan and
-stays the oracle; ``backend="ann"`` queries a random-projection forest with
-per-bucket candidate masks, dropping the search to roughly O(N log N) so the
-fine-tune phase scales past ~10k nodes.  An approximate backend may miss a
-node's counterfactuals entirely; such nodes are reported as invalid (they
-self-point and contribute nothing to the fair loss), which the recall
-property tests bound.
+stays the oracle; ``backend="ann"`` queries a random-projection forest,
+dropping the search to roughly O(N log N) so the fine-tune phase scales past
+~10k nodes.  An approximate backend may miss a node's counterfactuals
+entirely; such nodes are reported as invalid (they self-point and
+contribute nothing to the fair loss), which the recall property tests bound.
+
+Two search shapes share the result writing:
+
+* the forest ranks each query node once per search — its candidates and
+  their order do not depend on the attribute — and every attribute keeps
+  the first K same-label, opposite-side entries of that one ranking;
+* every other backend (exact, exhaustive probing, custom objects) answers
+  one ``topk`` call per (label, attribute, side) bucket.  Exact ranking
+  stays per bucket because its per-call GEMM rounding is what the golden
+  results pin.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ann import make_backend
+from repro.core.ann import AnnBackend, first_k_eligible, make_backend
 
 __all__ = ["CounterfactualIndex", "CounterfactualSearch"]
 
@@ -74,11 +83,6 @@ class CounterfactualSearch:
     ----------
     top_k:
         Number of counterfactuals per (node, attribute) pair — the paper's K.
-    candidate_pool:
-        Optional cap on the candidate set per (label, attribute-side) bucket;
-        buckets larger than this are subsampled for speed.  None = exact.
-    rng:
-        Only used when ``candidate_pool`` triggers subsampling.
     backend:
         ``"exact"`` (default, the brute-force oracle), ``"ann"`` (random-
         projection forest, approximate) or any object exposing
@@ -97,18 +101,12 @@ class CounterfactualSearch:
     def __init__(
         self,
         top_k: int,
-        candidate_pool: int | None = None,
-        rng: np.random.Generator | None = None,
         backend="exact",
         backend_options: dict | None = None,
     ) -> None:
         if top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {top_k}")
-        if candidate_pool is not None and candidate_pool < top_k:
-            raise ValueError("candidate_pool must be >= top_k")
         self.top_k = top_k
-        self.candidate_pool = candidate_pool
-        self.rng = rng or np.random.default_rng(0)
         self.backend = make_backend(backend, **(backend_options or {}))
 
     def search(
@@ -137,75 +135,107 @@ class CounterfactualSearch:
             retrieve counterfactuals for a scored batch without ranking
             every node.
         """
-        representations = np.asarray(representations, dtype=np.float64)
-        pseudo_labels = np.asarray(pseudo_labels).astype(np.int64)
-        binary_attributes = np.asarray(binary_attributes).astype(np.int64)
+        # Handed to the backend as given: the forest keeps float32 points
+        # in float32, and the built-in backends rank in float64.
+        representations = np.asarray(representations)
+        pseudo_labels = np.asarray(pseudo_labels, dtype=np.int64)
+        binary_attributes = np.asarray(binary_attributes)
         n, _ = representations.shape
         if pseudo_labels.shape != (n,):
             raise ValueError("pseudo_labels shape mismatch")
         if binary_attributes.shape[0] != n:
             raise ValueError("binary_attributes row mismatch")
         num_attrs = binary_attributes.shape[1]
-        query_mask = None
-        if nodes is not None:
+        if nodes is None:
+            nodes = np.arange(n, dtype=np.int64)
+        else:
             nodes = np.unique(np.asarray(nodes, dtype=np.int64))
             if nodes.size and (nodes[0] < 0 or nodes[-1] >= n):
                 raise ValueError("nodes ids out of range")
-            query_mask = np.zeros(n, dtype=bool)
-            query_mask[nodes] = True
 
         indices = np.tile(np.arange(n, dtype=np.int64)[:, None], (num_attrs, 1, 1))
         indices = indices.reshape(num_attrs, n, 1).repeat(self.top_k, axis=2)
         valid = np.zeros((num_attrs, n), dtype=bool)
+        # (I, N) side-1 flags, one contiguous row per attribute.
+        sides = np.ascontiguousarray((binary_attributes == 1).T)
 
         self.backend.prepare(representations)
+        if isinstance(self.backend, AnnBackend) and not self.backend.exhaustive:
+            self._search_ranked(nodes, pseudo_labels, sides, indices, valid)
+        else:
+            self._search_buckets(nodes, pseudo_labels, sides, indices, valid)
+        return CounterfactualIndex(indices=indices, valid=valid)
+
+    # ------------------------------------------------------------------ #
+    def _search_ranked(
+        self,
+        nodes: np.ndarray,
+        pseudo_labels: np.ndarray,
+        sides: np.ndarray,
+        indices: np.ndarray,
+        valid: np.ndarray,
+    ) -> None:
+        """One forest ranking per query node, filtered per attribute.
+
+        Each attribute keeps the first K entries of the shared ranking that
+        share the query's label and sit on the other side of the attribute —
+        exactly what a masked query over that bucket returns, because
+        filtering keeps the surviving entries in rank order.
+        """
+        for ids, ranking in self.backend.rankings(nodes):
+            same_label = (ranking >= 0) & (
+                pseudo_labels[ranking] == pseudo_labels[ids][:, None]
+            )
+            for attr, side in enumerate(sides):
+                eligible = same_label & (side[ranking] != side[ids][:, None])
+                found = first_k_eligible(ranking, eligible, self.top_k)
+                self._write(ids, found, indices, valid, attr)
+
+    def _search_buckets(
+        self,
+        nodes: np.ndarray,
+        pseudo_labels: np.ndarray,
+        sides: np.ndarray,
+        indices: np.ndarray,
+        valid: np.ndarray,
+    ) -> None:
+        """One backend ``topk`` call per (label, attribute, side) bucket."""
+        is_query = np.zeros(pseudo_labels.shape[0], dtype=bool)
+        is_query[nodes] = True
         for label in np.unique(pseudo_labels):
             class_members = np.where(pseudo_labels == label)[0]
             if class_members.size < 2:
                 continue
-            class_attrs = binary_attributes[class_members]
-            for attr in range(num_attrs):
-                side1 = class_attrs[:, attr] == 1
+            for attr, side in enumerate(sides):
+                side1 = side[class_members]
                 group_a = class_members[~side1]
                 group_b = class_members[side1]
                 if group_a.size == 0 or group_b.size == 0:
                     continue
-                queries_a, queries_b = group_a, group_b
-                if query_mask is not None:
-                    queries_a = group_a[query_mask[group_a]]
-                    queries_b = group_b[query_mask[group_b]]
-                if queries_a.size:
-                    self._fill_topk(queries_a, group_b, indices, valid, attr)
-                if queries_b.size:
-                    self._fill_topk(queries_b, group_a, indices, valid, attr)
-        return CounterfactualIndex(indices=indices, valid=valid)
+                for group, candidates in ((group_a, group_b), (group_b, group_a)):
+                    queries = group[is_query[group]]
+                    if queries.size:
+                        found = self.backend.topk(queries, candidates, self.top_k)
+                        self._write(queries, found, indices, valid, attr)
 
-    # ------------------------------------------------------------------ #
-    def _fill_topk(
+    def _write(
         self,
         queries: np.ndarray,
-        candidates: np.ndarray,
+        found: np.ndarray,
         indices: np.ndarray,
         valid: np.ndarray,
         attr: int,
     ) -> None:
-        """Write top-K nearest ``candidates`` for each node in ``queries``.
+        """Store each query's counterfactuals for ``attr``.
 
-        The backend returns up to ``top_k`` candidate ids per query (the
+        ``found`` holds up to ``top_k`` candidate ids per query (an
         approximate backend right-pads misses with ``-1``).  Rows with at
         least one hit cycle their hits to fill all K slots (fewer real
         candidates than K means repeating the available ones, as in the
         paper's K > bucket-size corner); rows with no hit stay self-pointing
         and invalid.
         """
-        if (
-            self.candidate_pool is not None
-            and candidates.size > self.candidate_pool
-        ):
-            candidates = self.rng.choice(
-                candidates, size=self.candidate_pool, replace=False
-            )
-        found = np.asarray(self.backend.topk(queries, candidates, self.top_k))
+        found = np.asarray(found)
         counts = (found >= 0).sum(axis=1)
         rows = np.flatnonzero(counts)
         if rows.size == 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.gnnzoo import make_backbone
+from repro.gnnzoo import GNNBackbone, make_backbone
 from repro.nn import MLP, Linear, Module
 from repro.tensor import Tensor, no_grad
 from repro.training import DEFAULT_FANOUT, fit_binary_classifier, fit_minibatch
@@ -154,7 +154,12 @@ class EncoderModule:
         return history
 
     def extract(self, features: Tensor, adjacency: sp.spmatrix) -> np.ndarray:
-        """Eq. (6): frozen forward pass returning ``X(0)`` as numpy."""
+        """Eq. (6): frozen forward pass returning ``X(0)`` as numpy.
+
+        A one-off pass: the propagation matrix a graph backbone builds for
+        it is not kept, so a fitted model does not carry one per graph it
+        was asked to encode.
+        """
         if not self.pretrained:
             raise RuntimeError("call pretrain() before extract()")
         was_training = self.network.training
@@ -162,4 +167,6 @@ class EncoderModule:
         with no_grad():
             output = self.network.embed(features, adjacency).data.copy()
         self.network.train(was_training)
+        if isinstance(self.network, GNNBackbone):
+            self.network.clear_cache()
         return output

@@ -76,9 +76,19 @@ def _masked_mean_scale(valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ``CounterfactualIndex.indices`` array every epoch between refreshes, so the
 # O(M·B·K) CSR construction and its per-dtype backend preparation happen once
 # per refresh instead of once per step.  Refreshes build a fresh index object
-# (fresh arrays), which simply misses the cache.  Bounded FIFO.
+# (fresh arrays), which simply misses the cache.  An entry is dropped as soon
+# as its ``indices`` array is freed, so a finished fit leaves none behind.
+# Bounded FIFO.
 _GATHER_CSR_CACHE: dict[int, tuple] = {}
 _GATHER_CSR_CACHE_MAX = 8
+
+
+def _evict_gather_csr(key: int):
+    def evict(ref: weakref.ref) -> None:
+        if _GATHER_CSR_CACHE.get(key, (None,))[0] is ref:
+            del _GATHER_CSR_CACHE[key]
+
+    return evict
 
 
 def _gather_csr_handle(indices: np.ndarray, num_rows: int, dtype) -> object:
@@ -92,8 +102,6 @@ def _gather_csr_handle(indices: np.ndarray, num_rows: int, dtype) -> object:
     else:
         if entry is not None:
             del _GATHER_CSR_CACHE[key]
-        for stale_key in [k for k, e in _GATHER_CSR_CACHE.items() if e[0]() is None]:
-            del _GATHER_CSR_CACHE[stale_key]
         while len(_GATHER_CSR_CACHE) >= _GATHER_CSR_CACHE_MAX:
             del _GATHER_CSR_CACHE[next(iter(_GATHER_CSR_CACHE))]
         top_k = indices.shape[-1]
@@ -106,7 +114,11 @@ def _gather_csr_handle(indices: np.ndarray, num_rows: int, dtype) -> object:
             shape=(indices.size // top_k, num_rows),
         )
         variants = {}
-        _GATHER_CSR_CACHE[key] = (weakref.ref(indices), base, variants)
+        _GATHER_CSR_CACHE[key] = (
+            weakref.ref(indices, _evict_gather_csr(key)),
+            base,
+            variants,
+        )
     handle = variants.get(variant)
     if handle is None:
         handle = backend.prepare_spmm(base, np.dtype(dtype))

@@ -202,7 +202,9 @@ class FairwosTrainer:
             "std": pseudo_std,
             "keep": None if keep is None else keep.astype(np.int64),
         }
-        self._binary_attrs = binary_attrs
+        # 0/1 flags, one byte each: the serving copy lives as long as the
+        # fitted trainer (and its artifact).
+        self._binary_attrs = binary_attrs.astype(np.uint8)
         timings["encoder"] = time.perf_counter() - start
 
         # -- Phase 2: pre-train the GNN classifier on X(0) --------------- #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -20,8 +22,9 @@ class GNNBackbone(Module):
     :class:`~repro.graph.sampling.Block` per layer); the classification head
     (Eq. 9, ``ŷ_v = σ(h_v · w)``) lives here so every backbone exposes
     identical logits semantics.  Normalised adjacencies are cached per input
-    matrix (graphs are static within an experiment) keyed by object identity;
-    blocks are ephemeral and never cached.
+    matrix (graphs are static within an experiment) for as long as that
+    matrix lives, or until :meth:`clear_cache`; blocks are ephemeral and
+    never cached.
     """
 
     def __init__(self, hidden_dim: int, rng: np.random.Generator) -> None:
@@ -29,7 +32,10 @@ class GNNBackbone(Module):
         self.hidden_dim = hidden_dim
         self.num_layers = 1  # overwritten by subclasses
         self.head = Linear(hidden_dim, 1, rng)
-        self._prop_cache: dict[int, sp.csr_matrix] = {}
+        # id(adjacency) -> (weakref to it, propagation matrix).  The weakref
+        # both validates a hit (ids are recycled after GC) and evicts the
+        # entry as soon as the adjacency is freed.
+        self._prop_cache: dict[int, tuple[weakref.ref, sp.csr_matrix]] = {}
 
     # -- subclass API ---------------------------------------------------- #
     def embed(self, features: Tensor, adjacency: sp.spmatrix) -> Tensor:
@@ -76,14 +82,26 @@ class GNNBackbone(Module):
 
     def _cached_propagation(self, adjacency: sp.spmatrix) -> sp.csr_matrix:
         key = id(adjacency)
-        cached = self._prop_cache.get(key)
-        if cached is None:
-            cached = self._propagation_matrix(adjacency)
-            # Keep the cache bounded: experiments touch at most a few graphs.
-            if len(self._prop_cache) > 8:
-                self._prop_cache.clear()
-            self._prop_cache[key] = cached
+        entry = self._prop_cache.get(key)
+        if entry is not None and entry[0]() is adjacency:
+            return entry[1]
+        cached = self._propagation_matrix(adjacency)
+        # Keep the cache bounded: experiments touch at most a few graphs.
+        if len(self._prop_cache) > 8:
+            self._prop_cache.clear()
+        owner = weakref.ref(self)  # no cycle through the callback
+
+        def evict(ref: weakref.ref) -> None:
+            module = owner()
+            if module is not None and module._prop_cache.get(key, (None,))[0] is ref:
+                del module._prop_cache[key]
+
+        self._prop_cache[key] = (weakref.ref(adjacency, evict), cached)
         return cached
+
+    def clear_cache(self) -> None:
+        """Drop every cached propagation matrix."""
+        self._prop_cache.clear()
 
 
 def make_backbone(

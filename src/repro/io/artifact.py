@@ -45,7 +45,7 @@ import numpy as np
 from repro.baselines import FairGKD, KSMOTE, FairRF, RemoveR, Vanilla
 from repro.baselines.base import BaselineMethod
 from repro.core import FairwosConfig, FairwosTrainer
-from repro.core.ann import EXHAUSTIVE, RPForestIndex, exact_topk
+from repro.core.ann import EXHAUSTIVE, AnnBackend, RPForestIndex, exact_topk
 from repro.core.counterfactual import CounterfactualIndex, CounterfactualSearch
 from repro.core.encoder import EncoderModule
 from repro.gnnzoo import make_backbone
@@ -392,34 +392,6 @@ def _load_npz(path: Path, name: str) -> dict[str, np.ndarray]:
         raise ArtifactError(f"corrupt artifact member {member}: {exc}") from exc
 
 
-class _FrozenForestBackend:
-    """Counterfactual-search backend over a persisted RP forest.
-
-    ``prepare`` is a no-op — the index is frozen at its saved state, which
-    is exactly what serving wants: retrieval reflects the representations
-    the model was trained (and audited) with.  ``probes`` overrides the
-    saved default per query pass (``"exhaustive"`` routes through the
-    shared brute-force oracle, bit-identical to the live index under the
-    same override).
-    """
-
-    name = "frozen-ann"
-
-    def __init__(self, index: RPForestIndex, probes=None) -> None:
-        self._index = index
-        self._probes = probes
-
-    def prepare(self, points: np.ndarray) -> None:  # noqa: ARG002
-        return None
-
-    def topk(self, query_ids, candidate_ids, k):
-        mask = np.zeros(self._index.num_points, dtype=bool)
-        mask[candidate_ids] = True
-        return self._index.query(
-            self._index.points[query_ids], k, mask=mask, probes=self._probes
-        )
-
-
 class _FrozenExactBackend:
     """Frozen brute-force backend over persisted representations."""
 
@@ -731,18 +703,14 @@ class ModelArtifact:
                 f"{self.method_name} artifacts carry no counterfactual "
                 f"index; only Fairwos does"
             )
-        if probes == EXHAUSTIVE or self._index is None:
-            if probes not in (None, EXHAUSTIVE):
-                raise ArtifactError(
-                    "probes overrides only apply to ANN-indexed artifacts"
-                )
-            backend = (
-                _FrozenForestBackend(self._index, probes=EXHAUSTIVE)
-                if self._index is not None
-                else _FrozenExactBackend(self._index_points)
-            )
+        if self._index is not None:
+            backend = AnnBackend.frozen(self._index, probes=probes)
+        elif probes in (None, EXHAUSTIVE):
+            backend = _FrozenExactBackend(self._index_points)
         else:
-            backend = _FrozenForestBackend(self._index, probes=probes)
+            raise ArtifactError(
+                "probes overrides only apply to ANN-indexed artifacts"
+            )
         trainer = self.trainer
         search = CounterfactualSearch(
             top_k or trainer.config.top_k, backend=backend

@@ -143,6 +143,69 @@ class TestDuplicateDistanceTies:
         # Equal-distance blocks list candidates in ascending id order.
         assert (np.diff(first[:, :16].astype(np.int64)) > 0).all()
 
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 12))
+    def test_partition_branch_returns_a_valid_exact_top_k(self, seed, k):
+        """k < num candidates selects by argpartition: which tied candidate
+        is kept at the k boundary is not candidate order, but the kept
+        distances are always exactly the k smallest."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(k + 1, 80))
+        # Small integer grid: many exactly equal distances, all exact in
+        # float64 under the expanded-square formula.
+        X = rng.integers(-2, 3, size=(n, 2)).astype(np.float64)
+        candidates = rng.permutation(n)[: int(rng.integers(k + 1, n + 1))]
+        queries = X[: min(n, 16)]
+        out = exact_topk(X, queries, candidates, k)
+        assert out.shape == (queries.shape[0], k)
+        true = ((queries[:, None, :] - X[None, candidates, :]) ** 2).sum(-1)
+        for row, ids in enumerate(out):
+            assert np.isin(ids, candidates).all()
+            assert np.unique(ids).size == k
+            got = ((X[ids] - queries[row]) ** 2).sum(-1)
+            assert (np.diff(got) >= 0).all()
+            np.testing.assert_array_equal(got, np.sort(true[row])[:k])
+
+
+class TestRanking:
+    """``rank`` orders every forest candidate; ``query`` filters it."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 10),
+        chunk_size=st.integers(1, 40),
+    )
+    def test_masked_query_is_the_filtered_ranking(self, seed, k, chunk_size):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 120))
+        # Integer grid: exact distances with many ties.
+        X = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+        index = RPForestIndex(
+            num_trees=3, leaf_size=5, probes=2, seed=seed, chunk_size=chunk_size
+        ).build(X)
+        mask = rng.random(n) < 0.4
+        queries = X[: min(n, 24)]
+        ranking = index.rank(queries)
+        out = index.query(queries, k, mask=mask)
+        for row, ranked in enumerate(ranking):
+            hits = ranked[ranked >= 0]
+            # Pads only at the tail; each candidate once.
+            assert (ranked[hits.size:] == -1).all()
+            assert np.unique(hits).size == hits.size
+            dist = ((X[hits] - queries[row]) ** 2).sum(-1)
+            # Ascending distance, ties by ascending id.
+            np.testing.assert_array_equal(np.lexsort((hits, dist)), np.arange(hits.size))
+            kept = hits[mask[hits]][:k]
+            np.testing.assert_array_equal(out[row, : kept.size], kept)
+            assert (out[row, kept.size:] == -1).all()
+
+    def test_rank_refuses_exhaustive(self):
+        X = np.random.default_rng(0).normal(size=(20, 3))
+        index = RPForestIndex(**FOREST, seed=0).build(X)
+        with pytest.raises(ValueError, match="exhaustive"):
+            index.rank(X[:2], probes=EXHAUSTIVE)
+
 
 class TestDeterminism:
     @settings(deadline=None)
@@ -196,7 +259,7 @@ class TestExhaustiveOracle:
         candidates = np.arange(1, 150, 2)
         exact = ExactBackend()
         exact.prepare(X)
-        ann = AnnBackend(**FOREST, seed=0, exhaustive=True)
+        ann = AnnBackend(**{**FOREST, "probes": EXHAUSTIVE}, seed=0)
         ann.prepare(X)
         np.testing.assert_array_equal(
             exact.topk(queries, candidates, 4), ann.topk(queries, candidates, 4)
@@ -542,7 +605,7 @@ class TestIncrementalBackend:
         X = rng.normal(size=(120, 5))
         exact = ExactBackend()
         ann = AnnBackend(
-            **FOREST, seed=0, exhaustive=True, update="incremental",
+            **{**FOREST, "probes": EXHAUSTIVE}, seed=0, update="incremental",
             rebuild_frac=1.0,
         )
         queries = np.arange(0, 120, 3)
@@ -603,6 +666,35 @@ class TestValidationAndFactory:
         assert (out[0, 1:] == -1).all()
 
 
+class TestFloat32Points:
+    """A float32 point matrix is stored as float32, and every result equals
+    the forest built over its exact float64 upcast."""
+
+    def test_results_match_float64_forest(self):
+        X = np.random.default_rng(11).normal(size=(150, 6)).astype(np.float32)
+        narrow = RPForestIndex(**FOREST, seed=11).build(X)
+        wide = RPForestIndex(**FOREST, seed=11).build(X.astype(np.float64))
+        assert narrow.points.dtype == np.float32
+        assert wide.points.dtype == np.float64
+        np.testing.assert_array_equal(narrow._norms, wide._norms)
+        Q = X[:25]
+        np.testing.assert_array_equal(narrow.rank(Q), wide.rank(Q))
+        np.testing.assert_array_equal(
+            narrow.query(Q, 4, probes=EXHAUSTIVE), wide.query(Q, 4, probes=EXHAUSTIVE)
+        )
+        moved = X.copy()
+        moved[:20] += np.float32(0.5)
+        assert narrow.update(moved) == wide.update(moved.astype(np.float64))
+        assert narrow.points.dtype == np.float32
+        restored = RPForestIndex.from_arrays(narrow.to_arrays())
+        assert restored.points.dtype == np.float32
+        for forest in (narrow, restored):
+            np.testing.assert_array_equal(forest.rank(moved[:25]), wide.rank(moved[:25]))
+            np.testing.assert_array_equal(forest._norms, wide._norms)
+        for key, value in wide.to_arrays().items():
+            np.testing.assert_array_equal(narrow.to_arrays()[key], value)
+
+
 class TestSerialization:
     """to_arrays / from_arrays round-trip the forest bit-for-bit."""
 
@@ -653,6 +745,28 @@ class TestSerialization:
         restored.update(moved2)
         np.testing.assert_array_equal(
             restored.query(moved2[:12], 3), index.query(moved2[:12], 3)
+        )
+
+    def test_routing_arrays_int32_and_int64_files_load(self):
+        X = np.random.default_rng(7).normal(size=(120, 8))
+        index = RPForestIndex(
+            **FOREST, seed=7, overflow_factor=1.0, compact_frac=0.01
+        ).build(X)
+        # A third of the points collapse onto one spot: their leaves
+        # overflow, split and get compacted away.
+        moved = X.copy()
+        moved[:40] = X[0] + 1e-3 * np.random.default_rng(8).normal(size=(40, 8))
+        report = index.update(moved)
+        assert report.splits > 0 and report.compacted > 0
+        arrays = index.to_arrays()
+        routing = [k for k in arrays if k.endswith(("_leaf_items", "_point_leaf"))]
+        assert routing and all(arrays[k].dtype == np.int32 for k in routing)
+        # Forests saved with int64 routing arrays load to the same forest.
+        wide = {k: v.astype(np.int64) if k in routing else v for k, v in arrays.items()}
+        restored = RPForestIndex.from_arrays(wide)
+        assert all(restored.to_arrays()[k].dtype == np.int32 for k in routing)
+        np.testing.assert_array_equal(
+            restored.query(moved[:20], 4), index.query(moved[:20], 4)
         )
 
     def test_from_arrays_accepts_npz_handle(self, tmp_path):

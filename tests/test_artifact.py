@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import ExecutionConfig
 from repro.core.counterfactual import CounterfactualSearch
 from repro.experiments.methods import run_method
 from repro.io import ArtifactError, load_artifact, save_artifact
@@ -29,7 +30,7 @@ def fairwos_run(small_graph):
         small_graph,
         epochs=4,
         finetune_epochs=2,
-        cf_backend="ann",
+        execution=ExecutionConfig(cf_backend="ann"),
         keep_model=True,
     )
     return result.extra["model"]
@@ -157,9 +158,7 @@ class TestBaselineRoundTrip:
             "remover",
             small_graph,
             epochs=4,
-            minibatch=True,
-            fanouts=(5,),
-            batch_size=64,
+            execution=ExecutionConfig(minibatch=True, fanouts=(5,), batch_size=64),
             keep_model=True,
         )
         runner = result.extra["model"]

@@ -106,10 +106,6 @@ class TestValidationAndOptions:
         with pytest.raises(ValueError):
             CounterfactualSearch(top_k=0)
 
-    def test_rejects_small_candidate_pool(self):
-        with pytest.raises(ValueError):
-            CounterfactualSearch(top_k=5, candidate_pool=3)
-
     def test_shape_mismatches(self):
         search = CounterfactualSearch(top_k=1)
         reps = np.zeros((5, 2))
@@ -117,18 +113,6 @@ class TestValidationAndOptions:
             search.search(reps, np.zeros(4, dtype=int), np.zeros((5, 1), dtype=int))
         with pytest.raises(ValueError):
             search.search(reps, np.zeros(5, dtype=int), np.zeros((4, 1), dtype=int))
-
-    def test_candidate_pool_subsampling_still_valid(self):
-        rng = np.random.default_rng(7)
-        reps = rng.normal(size=(60, 3))
-        labels = np.zeros(60, dtype=int)
-        attrs = rng.integers(0, 2, size=(60, 1))
-        index = CounterfactualSearch(
-            top_k=2, candidate_pool=5, rng=np.random.default_rng(0)
-        ).search(reps, labels, attrs)
-        for node in range(60):
-            for cf in index.indices[0, node]:
-                assert attrs[cf, 0] != attrs[node, 0]
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 200), k=st.integers(1, 4))
@@ -173,7 +157,7 @@ class TestBackends:
         reps, labels, attrs = self._data(seed)
         exact = CounterfactualSearch(top_k=k).search(reps, labels, attrs)
         ann = CounterfactualSearch(
-            top_k=k, backend="ann", backend_options={"exhaustive": True, "seed": seed}
+            top_k=k, backend="ann", backend_options={"probes": "exhaustive", "seed": seed}
         ).search(reps, labels, attrs)
         np.testing.assert_array_equal(exact.indices, ann.indices)
         np.testing.assert_array_equal(exact.valid, ann.valid)
@@ -294,3 +278,117 @@ class TestQueryNodeSubset:
             search.search(reps, labels, attrs, nodes=np.array([-1]))
         with pytest.raises(ValueError):
             search.search(reps, labels, attrs, nodes=np.array([reps.shape[0]]))
+
+
+def _masked_bucket_oracle(index, labels, attrs, k, nodes=None, probes=None):
+    """Per-bucket reference: one masked ``RPForestIndex.query`` per
+    (label, attribute, side) bucket, cycling hits into the K slots."""
+    n, num_attrs = attrs.shape
+    indices = np.tile(np.arange(n)[None, :, None], (num_attrs, 1, k))
+    valid = np.zeros((num_attrs, n), dtype=bool)
+    is_query = np.ones(n, dtype=bool)
+    if nodes is not None:
+        is_query[:] = False
+        is_query[nodes] = True
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        for attr in range(num_attrs):
+            side1 = attrs[members, attr] == 1
+            for group, candidates in (
+                (members[~side1], members[side1]),
+                (members[side1], members[~side1]),
+            ):
+                queries = group[is_query[group]]
+                if queries.size == 0 or candidates.size == 0:
+                    continue
+                mask = np.zeros(n, dtype=bool)
+                mask[candidates] = True
+                found = index.query(
+                    index.points[queries], k, mask=mask, probes=probes
+                )
+                for node, row in zip(queries, found):
+                    hits = row[row >= 0]
+                    if hits.size:
+                        indices[attr, node] = hits[np.arange(k) % hits.size]
+                        valid[attr, node] = True
+    return indices, valid
+
+
+class TestOnePassForestSearch:
+    """The forest search ranks each query node once and filters that
+    ranking per attribute; it must equal one masked query per bucket."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 7),
+        distinct=st.integers(1, 12),
+        num_labels=st.integers(1, 40),
+        chunk_size=st.integers(1, 9),
+        subset=st.booleans(),
+        drift=st.booleans(),
+    )
+    def test_bit_identical_to_masked_bucket_queries(
+        self, seed, k, distinct, num_labels, chunk_size, subset, drift
+    ):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 70))
+        # Few distinct embeddings → collapsed points and exact ties
+        # (``distinct=1`` puts every node on the same point).
+        base = rng.normal(size=(distinct, 3))
+        reps = base[rng.integers(0, distinct, size=n)]
+        # Many labels on few nodes → single-member classes.
+        labels = rng.integers(0, num_labels, size=n)
+        attrs = rng.integers(0, 2, size=(n, 3))
+        attrs[:, 2] = 1  # a one-sided attribute: never any counterfactual
+        nodes = (
+            np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            if subset else None
+        )
+        search = CounterfactualSearch(
+            top_k=k,
+            backend="ann",
+            backend_options={
+                "num_trees": 3, "leaf_size": 4, "probes": 2, "seed": seed,
+                "chunk_size": chunk_size, "update": "incremental",
+                "rebuild_frac": 1.0,
+            },
+        )
+        if drift:
+            # Query after an in-place update of the standing forest.
+            search.search(reps, labels, attrs)
+            reps = reps + 0.3 * rng.normal(size=reps.shape) * (rng.random(n) < 0.5)[:, None]
+        result = search.search(reps, labels, attrs, nodes=nodes)
+        if drift:
+            assert search.backend.last_report is not None
+        indices, valid = _masked_bucket_oracle(
+            search.backend.index, labels, attrs, k, nodes=nodes
+        )
+        np.testing.assert_array_equal(result.indices, indices)
+        np.testing.assert_array_equal(result.valid, valid)
+        assert not result.valid[2].any()
+
+    @settings(deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 10_000), probes=st.integers(1, 3))
+    def test_frozen_backend_matches_oracle(self, seed, probes):
+        from repro.core.ann import AnnBackend
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        reps = rng.normal(size=(n, 4))
+        labels = rng.integers(0, 2, size=n)
+        attrs = rng.integers(0, 2, size=(n, 2))
+        live = CounterfactualSearch(
+            top_k=3, backend="ann",
+            backend_options={"num_trees": 4, "leaf_size": 6, "seed": seed},
+        )
+        live.search(reps, labels, attrs)
+        index = live.backend.index
+        served = CounterfactualSearch(
+            top_k=3, backend=AnnBackend.frozen(index, probes=probes)
+        ).search(reps + 1.0, labels, attrs)  # frozen: new points ignored
+        indices, valid = _masked_bucket_oracle(
+            index, labels, attrs, 3, probes=probes
+        )
+        np.testing.assert_array_equal(served.indices, indices)
+        np.testing.assert_array_equal(served.valid, valid)

@@ -74,6 +74,8 @@ class TestEncoderModule:
         )
         out = encoder.extract(Tensor(small_graph.features), small_graph.adjacency)
         assert out.shape == (small_graph.num_nodes, 8)
+        # A one-off pass: no propagation matrix outlives it.
+        assert encoder.network._prop_cache == {}
 
     def test_mlp_backbone_ignores_structure(self, small_graph):
         import scipy.sparse as sp

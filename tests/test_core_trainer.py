@@ -80,6 +80,13 @@ class TestTrainerEndToEnd:
         logits = trainer.predict(small_graph)
         assert logits.shape == (small_graph.num_nodes,)
 
+    def test_fitted_trainer_keeps_compact_serving_state(self, small_graph):
+        trainer = FairwosTrainer(_fast_config())
+        trainer.fit(small_graph, seed=0)
+        assert trainer._binary_attrs.dtype == np.uint8
+        assert set(np.unique(trainer._binary_attrs)) <= {0, 1}
+        assert trainer.encoder.network._prop_cache == {}
+
     def test_predict_before_fit_raises(self, small_graph):
         with pytest.raises(RuntimeError):
             FairwosTrainer(_fast_config()).predict(small_graph)

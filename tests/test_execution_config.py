@@ -44,43 +44,17 @@ class TestValidation:
 
 
 class TestCompatShim:
-    def test_flat_kwargs_emit_deprecation_warning(self, small_graph):
-        with pytest.warns(DeprecationWarning, match="ExecutionConfig"):
-            run_method(
-                "vanilla", small_graph, epochs=3, minibatch=True,
-                batch_size=64,
-            )
-
-    def test_flat_and_execution_together_error(self, small_graph):
-        with pytest.raises(ValueError, match="both"):
-            run_method(
-                "vanilla",
-                small_graph,
-                epochs=3,
-                minibatch=True,
-                execution=ExecutionConfig(minibatch=True),
-            )
-
-    @pytest.mark.parametrize("method", ["vanilla", "fairwos"])
-    def test_shim_parity_with_execution_config(self, method, small_graph):
-        """Flat kwargs and ExecutionConfig produce identical results."""
-        settings = dict(minibatch=True, fanouts=(5,), batch_size=64)
-        with pytest.warns(DeprecationWarning):
-            flat = run_method(
-                method, small_graph, epochs=6, finetune_epochs=2,
-                patience=None, seed=0, **settings,
-            )
-        config = run_method(
-            method, small_graph, epochs=6, finetune_epochs=2,
-            patience=None, seed=0, execution=ExecutionConfig(**settings),
-        )
-        assert flat.test == config.test
-        assert flat.validation == config.validation
-        assert flat.method == config.method
+    """The flat-kwargs shim is gone: execution settings are only reachable
+    through ``execution=ExecutionConfig(...)``."""
 
     def test_new_knobs_have_no_flat_spelling(self, small_graph):
         with pytest.raises(TypeError):
             run_method("vanilla", small_graph, epochs=3, num_workers=2)
+
+    @pytest.mark.parametrize("field", ["minibatch", "cf_backend", "dtype"])
+    def test_old_flat_spellings_rejected(self, small_graph, field):
+        with pytest.raises(TypeError):
+            run_method("vanilla", small_graph, epochs=3, **{field: True})
 
 
 class TestFairwosConfigConflicts:
@@ -129,14 +103,6 @@ class TestFairwosConfigConflicts:
             execution=ExecutionConfig(minibatch=True, batch_size=64),
         )
         assert 0.0 <= result.test.accuracy <= 1.0
-
-    def test_legacy_flat_conflicts_still_raise(self, small_graph):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="fairwos_config"):
-                run_method(
-                    "fairwos", small_graph,
-                    fairwos_config=FairwosConfig(), cf_backend="ann",
-                )
 
 
 class TestCliDerivation:

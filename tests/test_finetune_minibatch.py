@@ -291,7 +291,7 @@ class TestTrainerAgreement:
                 batch_size=512,
                 fanouts=(None,),
                 cf_backend="ann",
-                cf_backend_options={"exhaustive": True},
+                cf_backend_options={"probes": "exhaustive"},
                 cf_refresh_epochs=2,  # several refreshes → update() exercised
                 cf_update=cf_update,
                 cf_drift_threshold=0.0,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,21 @@ class TestMessagePassingSemantics:
         cached = model._prop_cache[id(tiny_graph.adjacency)]
         model.embed(feats, tiny_graph.adjacency)
         assert model._prop_cache[id(tiny_graph.adjacency)] is cached
+
+    def test_propagation_cache_dies_with_adjacency(self, tiny_graph):
+        model = GCN(4, 8, np.random.default_rng(0))
+        adjacency = tiny_graph.adjacency.copy()
+        model.embed(Tensor(np.zeros((6, 4))), adjacency)
+        assert len(model._prop_cache) == 1
+        del adjacency
+        gc.collect()
+        assert model._prop_cache == {}
+
+    def test_clear_cache(self, tiny_graph):
+        model = GCN(4, 8, np.random.default_rng(0))
+        model.embed(Tensor(np.zeros((6, 4))), tiny_graph.adjacency)
+        model.clear_cache()
+        assert model._prop_cache == {}
 
     def test_head_maps_hidden_to_logit(self, tiny_graph):
         model = GCN(4, 8, np.random.default_rng(0))

@@ -137,7 +137,14 @@ class TestParallelBitIdentity:
 
 class TestForestSharding:
     def test_build_and_update_match_serial(self, rng):
-        X = rng.normal(size=(400, 8))
+        self._check_sharded_matches_serial(rng, np.float64)
+
+    def test_float32_points_match_serial(self, rng):
+        self._check_sharded_matches_serial(rng, np.float32)
+
+    @staticmethod
+    def _check_sharded_matches_serial(rng, dtype):
+        X = rng.normal(size=(400, 8)).astype(dtype)
         serial = RPForestIndex(num_trees=6, leaf_size=16, seed=5)
         serial.build(X)
         sharded = RPForestIndex(num_trees=6, leaf_size=16, seed=5)
@@ -146,7 +153,7 @@ class TestForestSharding:
             drifted = X.copy()
             drifted[: len(X) // 3] += rng.normal(
                 scale=0.5, size=(len(X) // 3, 8)
-            )
+            ).astype(dtype)
             serial.update(drifted)
             sharded.update(drifted, pool=pool)
 
